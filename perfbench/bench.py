@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import gc
 import shutil
-from collections import Counter
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 from perfbench import workloads as wl
@@ -117,33 +117,45 @@ def layer_metrics(tracer: Tracer, traced: wl.Phase, untraced: wl.Phase, replayed
     }
 
 
-def _traffic(events, reference: Reference, warm_count: int) -> dict:
-    """The properties of the traffic a claim can cite its share on."""
+def _traffic(events, reference: Reference, warm_count: int, cache_size: int) -> dict:
+    """The properties of the traffic a claim can cite its share on.
+
+    ``resident_share`` is the share of timed events whose scored text an
+    LRU cache of the deployment's configured size would already hold.
+    """
     expected = reference.expected
-    seen: set[str] = set()
-    resident = timed = 0
+    lru: OrderedDict = OrderedDict()
+    resident = live = changed = 0
     for position, event in enumerate(events):
         outcome = expected[event.line]
-        if position >= warm_count:
-            timed += 1
-            resident += (not outcome.dropped) and outcome.text in seen
-        if not outcome.dropped:
-            seen.add(outcome.text)
-    live = [expected[event.line] for event in events if not expected[event.line].dropped]
+        if outcome.dropped:
+            continue
+        live += 1
+        changed += outcome.changed
+        hit = outcome.text in lru
+        if hit:
+            lru.move_to_end(outcome.text)
+        else:
+            lru[outcome.text] = None
+            if len(lru) > cache_size:
+                lru.popitem(last=False)
+        resident += hit and position >= warm_count
     total = max(len(events), 1)
     return {
         "events": len(events),
         "distinct_line_share": len({event.line for event in events}) / total,
-        "resident_share": _ratio(resident, timed),
-        "drop_share": 1.0 - len(live) / total,
-        "canonicalize_changed_share": _ratio(sum(o.changed for o in live), len(live)),
+        "resident_share": _ratio(resident, len(events) - warm_count),
+        "drop_share": 1.0 - live / total,
+        "canonicalize_changed_share": _ratio(changed, live),
         "attack_share": sum(event.malicious for event in events) / total,
         "hosts": len({event.host for event in events}),
     }
 
 
-async def _serve(name: str, bundle: Path, run_dir: Path, warm, timed, seconds: float,
+async def _serve(name: str, bundle: Path, run_dir: Path, warm, stream, seconds: float,
                  trace: bool, setup_rounds: int) -> dict:
+    # the workload's memory peak starts here, after its traffic pool exists
+    rss_before, rss_reset = wl.reset_peak_rss()
     deployment, setup_times = await wl.set_up(name, bundle, run_dir, setup_rounds)
     outcomes: Counter = Counter()
     out: dict = {"setup_times": setup_times, "warm_failed": 0, "outcomes": outcomes}
@@ -159,25 +171,24 @@ async def _serve(name: str, bundle: Path, run_dir: Path, warm, timed, seconds: f
                 continue
             out["warm_failed"] += max(len(chunk) - len(results), 0)
             wl.observe(outcomes, results)
-        # a traced run gives each phase its own half of the traffic
-        half = len(timed) // 2 if trace else len(timed)
-        untraced, used = await wl.run_phase(
-            name, deployment, timed[:half], seconds / 2 if trace else seconds, outcomes
+        # a traced run gives each phase half of the time
+        untraced = await wl.run_phase(
+            name, deployment, stream, seconds / 2 if trace else seconds, outcomes
         )
-        out["peak_rss_mb"] = wl.peak_rss_mb()
-        out["untraced"], out["served"] = untraced, timed[:used]
+        out["rss"] = {"before_mb": rss_before, "peak_mb": wl.peak_rss_mb(),
+                      "peak_reset": rss_reset}
+        out["untraced"] = untraced
         if trace:
             tracer = Tracer()
             replayed = deployment.wire_failures().get("replayed_events", 0)
             deployment.install(tracer)
             try:
-                traced, used_traced = await wl.run_phase(
-                    name, deployment, timed[half:], seconds / 2, outcomes
+                out["traced"] = await wl.run_phase(
+                    name, deployment, stream, seconds / 2, outcomes
                 )
             finally:
                 tracer.uninstall()
-            out["traced"], out["tracer"] = traced, tracer
-            out["served"] += timed[half : half + used_traced]
+            out["tracer"] = tracer
             out["replayed_traced"] = deployment.wire_failures().get("replayed_events", 0) - replayed
     finally:
         await deployment.stop()
@@ -185,13 +196,20 @@ async def _serve(name: str, bundle: Path, run_dir: Path, warm, timed, seconds: f
     out["dead_letters"] = sum(server.sinks.dead_lettered for server in deployment.servers)
     out["precision"] = deployment.config.backend.precision
     out["canonicalize"] = deployment.config.canonicalize
+    out["cache_size"] = deployment.config.cache.size
     return out
 
 
 def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: float,
-                 trace: bool, scale: float = 1.0, setup_rounds: int = wl.SETUP_ROUNDS) -> dict:
-    """Run one workload and return its metrics, checks and descriptions."""
-    warm, timed = wl.generate(name, seed, seconds, scale)
+                 trace: bool, scale: float = 1.0, setup_rounds: int | None = None) -> dict:
+    """Run one workload and return its metrics, checks and descriptions.
+
+    *scale* shrinks the generated pools and *setup_rounds* the timed
+    deployments (default ``workloads.SETUP_ROUNDS``); the benchmark's own
+    tests use small values of both.
+    """
+    setup_rounds = setup_rounds or wl.SETUP_ROUNDS
+    warm, stream = wl.generate(name, seed, seconds, scale)
     # the generated traffic lives for the whole run: keep it out of the
     # program's garbage-collection passes
     gc.collect()
@@ -200,7 +218,7 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
     run_dir.mkdir(parents=True)
     try:
         served = asyncio.run(
-            _serve(name, bundle, run_dir, warm, timed, seconds, trace, setup_rounds)
+            _serve(name, bundle, run_dir, warm, stream, seconds, trace, setup_rounds)
         )
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
@@ -208,7 +226,7 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
     untraced: wl.Phase = served["untraced"]
     phases = [untraced] + ([served["traced"]] if trace else [])
     outcomes = served["outcomes"]
-    events = list(warm) + served["served"]
+    events = list(warm) + stream.served()
 
     reference = Reference(bundle, served["canonicalize"])
     reference.extend(event.line for event in events)
@@ -224,13 +242,14 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
                    + max(wire.get("unacked_events", 0), 0))
     attempted = len(warm) + sum(phase.attempted for phase in phases)
     failed = raised + wire_failed + check.mismatches
+    rss = served["rss"]
 
     metrics = {
         "throughput_eps": untraced.throughput,
         "latency_p50_ms": wl.percentile(untraced.latencies_ms, 50),
         "latency_p99_ms": wl.percentile(untraced.latencies_ms, 99),
         "cpu_us_per_event": _ratio(untraced.cpu_seconds * 1e6, untraced.events),
-        "peak_rss_mb": served["peak_rss_mb"],
+        "peak_rss_mb": rss["peak_mb"],
         "setup_s": wl.median(served["setup_times"]),
         "alert_recall": recall,
         "alert_precision": precision,
@@ -250,8 +269,10 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
             "alerts": alerts,
         },
         "phase": {"events": untraced.events, "seconds": untraced.seconds,
-                  "pool_exhausted": untraced.exhausted},
-        "traffic": _traffic(events, reference, len(warm)),
+                  "cpu_seconds": untraced.cpu_seconds,
+                  "pool_passes": getattr(stream, "passes", None)},
+        "rss": rss,
+        "traffic": _traffic(events, reference, len(warm), served["cache_size"]),
         "oracle": {"mismatches": check.mismatches, "inexact_scores": check.inexact_scores,
                    "max_score_diff": check.max_score_diff,
                    "tolerance": TOLERANCE.get(served["precision"], 1e-5),
@@ -273,7 +294,8 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
         report["traced_phase"] = {"events": traced.events, "seconds": traced.seconds,
                                   "throughput_eps": traced.throughput}
         report["notes"] = {
-            "nn.mflop_per_line": "matmul FLOPs computed from tensor shapes, not counted by hardware",
+            "nn.mflop_per_line": "matmul FLOPs computed from the tensor shapes each forward "
+                                 "pass received, not counted by hardware",
             "zero": "a per-layer value of 0 means the layer did no work on this workload",
         }
     return report

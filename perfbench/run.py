@@ -34,12 +34,6 @@ def _parse(argv):
                         help="measured seconds per workload")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1: report per-layer metrics from a traced phase")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="shrink the generated pools (tests use a small value)")
-    parser.add_argument("--setup-rounds", type=int, default=None,
-                        help="deployments built per run for setup_s (default 9)")
-    parser.add_argument("--bundle", type=Path, default=None,
-                        help="serve this saved bundle instead of the bench world")
     return parser.parse_args(argv)
 
 
@@ -52,6 +46,8 @@ def _table(report: dict, trace: bool, units: dict) -> str:
         note = ""
         if metric.startswith("latency_"):
             note = f"  (n={samples['latency_events']} events, {samples['latency_calls']} calls)"
+        elif metric == "peak_rss_mb":
+            note = f"  (since set-up began, at {report['rss']['before_mb']:.1f} MB)"
         elif metric == "setup_s":
             note = f"  (median of {samples['setup_rounds']})"
         elif metric.startswith("alert_"):
@@ -84,23 +80,19 @@ def main(argv=None) -> int:
               f"{', '.join(wl.WORKLOADS)} or all", file=sys.stderr)
         return 2
     root = world.cache_root(REPO)
-    fixture_s = 0.0
-    bundle = args.bundle
-    if bundle is None:
-        print("perfbench: loading the bench-world bundle (trains it on first use)",
-              file=sys.stderr, flush=True)
-        bundle, fixture_s = world.ensure_bundle(root)
+    print("perfbench: loading the bench-world bundle (trains it on first use)",
+          file=sys.stderr, flush=True)
+    bundle, fixture_s = world.ensure_bundle(root)
     env = envinfo.environment(REPO)
     trace = bool(args.trace)
     units = bench.PER_LAYER if trace else bench.END_TO_END
-    rounds = args.setup_rounds or wl.SETUP_ROUNDS
 
     reports = {}
     for name in names:
         print(f"perfbench: running {name}", file=sys.stderr, flush=True)
         report = bench.run_workload(
             name, bundle, root / "runs" / name, seed=args.seed, seconds=args.seconds,
-            trace=trace, scale=args.scale, setup_rounds=rounds,
+            trace=trace,
         )
         report["environment"] = env
         report["fixture_train_s"] = fixture_s

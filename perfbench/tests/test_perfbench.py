@@ -34,7 +34,7 @@ def _declared() -> dict:
     "make",
     [
         lambda seed: traffic.distinct_telemetry(seed, 300),
-        lambda seed: traffic.zipf_stream(seed, 100, 500),
+        lambda seed: traffic.zipf_stream(seed, 100)[1].take(500),
         lambda seed: traffic.live_tail(seed, 200, 300),
     ],
     ids=["distinct_telemetry", "zipf_stream", "live_tail"],
@@ -42,6 +42,18 @@ def _declared() -> dict:
 def test_same_seed_same_stream(make):
     assert make(7) == make(7)
     assert make(7) != make(8)
+
+
+def test_streams_never_run_dry():
+    pool, zipf = traffic.zipf_stream(2, 50)
+    first = zipf.take(3000)
+    assert len(first) == 3000 and {e.line for e in first} <= {e.line for e in pool}
+    assert zipf.served() == first
+    cycle = traffic.Cycle(traffic.distinct_telemetry(2, 40))
+    taken = cycle.take(30) + cycle.take(30)
+    assert cycle.passes == 1.5 and cycle.served() == taken
+    assert [e.line for e in taken[40:]] == [e.line for e in taken[:20]]
+    assert all(a.timestamp < b.timestamp for a, b in zip(taken, taken[1:]))
 
 
 def test_live_tail_carries_campaigns_and_many_hosts():
@@ -77,15 +89,16 @@ def test_tiny_run_has_no_errors(name, bundle, tmp_path):
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-def test_cli_last_line_is_the_result(bundle, trace):
-    completed = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "warm_zipf", "--seed", "1",
-         "--seconds", "0.5", "--trace", trace, "--scale", "0.02", "--setup-rounds", "1",
-         "--bundle", str(bundle)],
-        cwd=REPO, capture_output=True, text=True, timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-    result = json.loads(completed.stdout.strip().splitlines()[-1])
+def test_cli_last_line_is_the_result(bundle, trace, tmp_path, monkeypatch, capsys):
+    from perfbench import run, world
+
+    monkeypatch.setattr(world, "ensure_bundle", lambda root: (bundle, 0.0))
+    monkeypatch.setattr(world, "cache_root", lambda repo: tmp_path)
+    monkeypatch.setattr(wl, "WARM_POOL", 64)
+    monkeypatch.setattr(wl, "SETUP_ROUNDS", 1)
+    assert run.main(["--workload", "warm_zipf", "--seed", "1", "--seconds", "0.5",
+                     "--trace", trace]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] and result["failed"] == 0
     declared = _declared()["per_layer" if trace == "1" else "end_to_end"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import threading
 import time
 from collections import defaultdict, deque
 
@@ -61,30 +62,16 @@ class _CallProxy:
         return getattr(self._target, name)
 
 
-def forward_flops(batch, service) -> float:
-    """Matmul FLOPs of one ``service.score_batch`` call, from tensor shapes.
-
-    Replays the encoder's chunking (stable sort on character length,
-    ``batch_size`` rows per forward, each chunk padded to its own widest
-    row) and counts, per layer, the Q/K/V/output projections, the two
-    attention products and the feed-forward pair, plus the probing
-    head.  Embedding lookups, norms and softmax are not counted.
-    """
-    encoder = service.encoder
-    config = encoder.model.config
-    hidden, layers, inner = config.hidden_size, config.n_layers, config.intermediate_size
-    order = np.argsort(batch.char_lengths, kind="stable")
-    total = 0.0
-    for start in range(0, len(order), encoder.batch_size):
-        rows = order[start : start + encoder.batch_size]
-        width = int(batch.lengths[rows].max())
-        tokens = len(rows) * width
-        per_layer = 2 * tokens * hidden * (4 * hidden + 2 * inner)
-        per_layer += 2 * 2 * len(rows) * width * width * hidden
-        total += layers * per_layer
-    head = service.tuner.hidden_size
-    total += 2 * len(order) * (hidden * head + head * 2)
-    return total
+def forward_flops(rows: int, width: int, config) -> float:
+    """Matmul FLOPs of one encoder forward pass over a ``(rows, width)``
+    id matrix: per layer the Q/K/V/output projections, the two attention
+    products and the feed-forward pair.  Embedding lookups, norms and
+    softmax are not counted."""
+    hidden, inner = config.hidden_size, config.intermediate_size
+    tokens = rows * width
+    per_layer = 2 * tokens * hidden * (4 * hidden + 2 * inner)
+    per_layer += 2 * 2 * rows * width * width * hidden
+    return float(config.n_layers * per_layer)
 
 
 class Tracer:
@@ -111,12 +98,15 @@ class Tracer:
         self.spans.append((started, time.perf_counter(), PRIORITY[op], op))
         self.calls[op] += 1
 
-    def wrap(self, obj, attr: str, op: str, after=None) -> None:
-        """Time a synchronous call; ``after(result, args)`` sees its result."""
+    def wrap(self, obj, attr: str, op: str, after=None, before=None) -> None:
+        """Time a synchronous call; ``before(args)`` runs as it is entered,
+        ``after(result, args)`` sees its result."""
         original = getattr(obj, attr)
         span = self._span
 
         def wrapper(*args, **kwargs):
+            if before is not None:
+                before(args)
             started = time.perf_counter()
             try:
                 result = original(*args, **kwargs)
@@ -179,15 +169,40 @@ class Tracer:
             counts["encode_cells"] += batch.ids.size
             counts["encode_pad"] += batch.ids.size - int(batch.lengths.sum())
 
+        # FLOPs come from the id matrices the live forward pass receives
+        # (the compiled plan's, or the model's when serving uncompiled),
+        # counted only inside score_batch: the sequence stage runs the
+        # same encoder
+        encoder = service.encoder
+        config, head = encoder.model.config, service.tuner.hidden_size
+        scoring = threading.local()
+        network = encoder.inference_plan
+        if network is None:
+            network = encoder.model
+        forward = network.forward
+
+        def counted_forward(ids, *args, **kwargs):
+            if getattr(scoring, "flops", None) is not None:
+                rows, width = np.shape(ids)
+                scoring.flops += forward_flops(rows, width, config)
+            return forward(ids, *args, **kwargs)
+
+        def scoring_started(args):
+            scoring.flops = 0.0
+
         def forwarded(result, args):
-            batch = args[0]
-            counts["forward_rows"] += len(batch)
-            counts["forward_flops"] += forward_flops(batch, service)
+            rows = len(args[0])
+            counts["forward_rows"] += rows
+            # plus the probing head on each pooled row
+            counts["forward_flops"] += scoring.flops + 2 * rows * (config.hidden_size * head
+                                                                  + head * 2)
+            scoring.flops = None
 
         self.wrap(service, "normalizer", "preprocess.normalize")
         self.wrap(service, "preprocess", "shell.validate", after=preprocessed)
         self.wrap(service, "encode_batch", "tokenizer.encode", after=encoded)
-        self.wrap(service, "score_batch", "nn.forward", after=forwarded)
+        self.wrap(service, "score_batch", "nn.forward", after=forwarded, before=scoring_started)
+        self._patch(network, "forward", counted_forward)
         if service.has_sequence_head:
             self.wrap(service, "score_sequence", "serving.sessions.sequence")
         self.wrap_async(server.backend, "score_batch", "serving.backends", before=self._batch_entry)

@@ -8,8 +8,9 @@ ground-truth flag stays on the benchmark side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ _CHUNK_LINES = 20_000
 _START = datetime(2022, 6, 1)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One command event as the benchmark sends it, plus its ground truth."""
 
     line: str
@@ -95,29 +95,91 @@ def _distinct_with_counts(seed: int, count: int, max_rounds: int = 40):
     return events, occurrences
 
 
-def zipf_stream(seed: int, pool_size: int, count: int) -> tuple[list[Event], list[Event]]:
-    """``(pool, stream)``: a distinct-line pool and a Zipf resample of it.
+class Cycle:
+    """A fixed event list handed out in order, again from the start when it
+    runs out, so a phase can last as long as it is timed for.
+
+    Each pass after the first shifts the timestamps past the previous
+    pass, so time never runs backwards.
+    """
+
+    def __init__(self, events: list[Event]):
+        if not events:
+            raise ValueError("a cycle needs at least one event")
+        self.events = events
+        self.count = 0
+        self._span = events[-1].timestamp - events[0].timestamp + 1.0
+
+    @property
+    def passes(self) -> float:
+        return self.count / len(self.events)
+
+    def _event(self, position: int) -> Event:
+        turn, index = divmod(position, len(self.events))
+        event = self.events[index]
+        if turn:
+            event = Event(event.line, event.host, event.timestamp + turn * self._span,
+                          event.malicious)
+        return event
+
+    def take(self, n: int) -> list[Event]:
+        start, self.count = self.count, self.count + n
+        if start + n <= len(self.events):
+            return self.events[start : start + n]
+        return [self._event(position) for position in range(start, start + n)]
+
+    def served(self) -> list[Event]:
+        """Every event handed out so far, in order."""
+        return [self._event(position) for position in range(self.count)]
+
+
+class ZipfStream:
+    """Endless Zipf resample of a distinct-line pool.
 
     Zipf ranks follow each line's popularity in the telemetry the pool
     was drawn from (ties in random order), so the hot head is the
     fleet's everyday commands, as in real telemetry, rather than
     whichever line a shuffle put first.  Each pool entry keeps its host,
     so a repeat always reaches the same shard or fleet node.  Timestamps
-    advance 10 ms per event after the pool's.
+    advance 10 ms per event after the pool's.  Picks are drawn in fixed
+    blocks from one seeded generator, so the stream does not depend on
+    how much of it a run consumes.
     """
+
+    BLOCK = 4096
+
+    def __init__(self, seed: int, pool: list[Event], occurrences: list[int]):
+        self.pool = pool
+        self._rng = np.random.default_rng([seed, 1])
+        order = np.lexsort((self._rng.random(len(pool)), -np.asarray(occurrences)))
+        ranks = np.empty(len(pool))
+        ranks[order] = np.arange(len(pool))
+        weights = 1.0 / np.power(ranks + 1.0, ZIPF_EXPONENT)
+        self._p = weights / weights.sum()
+        self._base = max(event.timestamp for event in pool)
+        self._drawn = array("l")
+        self.count = 0
+
+    def take(self, n: int) -> list[Event]:
+        while len(self._drawn) < self.count + n:
+            self._drawn.extend(self._rng.choice(len(self.pool), size=self.BLOCK, p=self._p))
+        start, self.count = self.count, self.count + n
+        return self._events(start, self.count)
+
+    def _events(self, start: int, stop: int) -> list[Event]:
+        base, picked = self._base, map(self.pool.__getitem__, self._drawn[start:stop])
+        return [Event(source.line, source.host, base + 0.01 * (position + 1), source.malicious)
+                for position, source in zip(range(start, stop), picked)]
+
+    def served(self) -> list[Event]:
+        """Every event handed out so far, in order."""
+        return self._events(0, self.count)
+
+
+def zipf_stream(seed: int, pool_size: int) -> tuple[list[Event], ZipfStream]:
+    """``(pool, stream)``: a distinct-line pool and an endless Zipf resample of it."""
     pool, occurrences = _distinct_with_counts(seed, pool_size)
-    rng = np.random.default_rng([seed, 1])
-    order = np.lexsort((rng.random(len(pool)), -np.asarray(occurrences)))
-    ranks = np.empty(len(pool))
-    ranks[order] = np.arange(len(pool))
-    weights = 1.0 / np.power(ranks + 1.0, ZIPF_EXPONENT)
-    picks = rng.choice(len(pool), size=count, p=weights / weights.sum())
-    base = max(event.timestamp for event in pool)
-    stream = [
-        Event(pool[i].line, pool[i].host, base + 0.01 * (k + 1), pool[i].malicious)
-        for k, i in enumerate(picks)
-    ]
-    return pool, stream
+    return pool, ZipfStream(seed, pool, occurrences)
 
 
 def live_tail(seed: int, warm: int, count: int, campaigns: int = 3,

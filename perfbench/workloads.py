@@ -6,16 +6,20 @@ returns).  ``live_tail`` calls ``submit`` per event on a fixed open-loop
 schedule.  ``fleet_replay`` sends the ``warm_zipf`` traffic through a
 ``FleetRouter`` to two ``FleetNode`` s on localhost TCP, one chunk at a
 time: ``submit_many`` and ``flush``, then wait until every event of the
-chunk is acknowledged.
+chunk is acknowledged.  The timed traffic is a source whose ``take(n)``
+never runs dry, so every phase lasts as long as it is timed for.
 """
 
 from __future__ import annotations
 
 import asyncio
+import ctypes
+import gc
 import resource
 import shutil
 import statistics
 import time
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +45,10 @@ LIVE_RATE = 200.0
 LIVE_HISTORY = 4000
 #: Distinct lines in the warm pool (fits the default 4096-entry cache).
 WARM_POOL = 3072
-#: Events generated per measured second; a phase that outruns its
-#: share ends early and says so in the report.
-COLD_EVENTS_PER_SECOND = 1100
-ZIPF_EVENTS_PER_SECOND = 30000
+#: Distinct lines cold_ingest cycles through.  Served in the same order
+#: every pass, a pool this much larger than the default 4096-entry LRU
+#: cache never hits it, however fast the program gets through it.
+COLD_POOL = 12_000
 #: Deployments built (and timed) per run; setup_s is their median.
 SETUP_ROUNDS = 9
 
@@ -99,20 +103,19 @@ def serving_config(name: str, run_dir: Path) -> ServingConfig:
 
 
 def generate(name: str, seed: int, seconds: float, scale: float = 1.0):
-    """``(warm, timed)`` event lists for one run of workload *name*."""
+    """``(warm, stream)`` for one run of workload *name*: the untimed warm
+    events, and the timed traffic as a source whose ``take(n)`` never runs
+    dry (``traffic.Cycle`` or ``traffic.ZipfStream``)."""
     if name == "cold_ingest":
-        events = traffic.distinct_telemetry(
-            seed, BATCH_EVENTS + int(COLD_EVENTS_PER_SECOND * seconds * scale)
-        )
-        return events[:BATCH_EVENTS], events[BATCH_EVENTS:]
+        events = traffic.distinct_telemetry(seed, BATCH_EVENTS + int(COLD_POOL * scale))
+        return events[:BATCH_EVENTS], traffic.Cycle(events[BATCH_EVENTS:])
     if name in ("warm_zipf", "fleet_replay"):
-        return traffic.zipf_stream(
-            seed, max(int(WARM_POOL * scale), 64), int(ZIPF_EVENTS_PER_SECOND * seconds * scale)
-        )
+        return traffic.zipf_stream(seed, max(int(WARM_POOL * scale), 64))
     if name == "live_tail":
-        return traffic.live_tail(
+        warm, tail = traffic.live_tail(
             seed, int(LIVE_HISTORY * scale), max(int(LIVE_RATE * seconds), 100)
         )
+        return warm, traffic.Cycle(tail)
     raise KeyError(name)
 
 
@@ -270,6 +273,8 @@ async def set_up(name: str, bundle: Path, run_dir: Path, rounds: int = SETUP_ROU
     for round_index in range(rounds):
         if deployment is not None:
             await deployment.stop()
+            deployment = None
+            gc.collect()
         round_dir = run_dir / f"setup-{round_index}"
         shutil.rmtree(round_dir, ignore_errors=True)
         round_dir.mkdir(parents=True)
@@ -284,8 +289,48 @@ def cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def _status_mb(field: str) -> float | None:
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith(field + ":"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
+def reset_peak_rss() -> tuple[float, bool]:
+    """Start a fresh resident-memory peak here.
+
+    Collects garbage, hands freed heap back to the system, then resets
+    the kernel's high-water mark (``VmHWM``) to the current RSS.
+    Returns ``(rss_mb, reset)``; *reset* is False where ``/proc`` cannot
+    reset the mark, and the later peak is then the whole process's.
+    """
+    gc.collect()
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):
+        pass
+    try:
+        with open("/proc/self/clear_refs", "w") as clear_refs:
+            clear_refs.write("5")
+        reset = True
+    except OSError:
+        reset = False
+    rss = _status_mb("VmRSS")
+    if rss is None:
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return rss, reset
+
+
 def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """Peak RSS since the last :func:`reset_peak_rss` (or process start)."""
+    peak = _status_mb("VmHWM")
+    if peak is None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return peak
 
 
 @dataclass
@@ -298,9 +343,8 @@ class Phase:
     failed: int = 0
     seconds: float = 0.0
     cpu_seconds: float = 0.0
-    latencies_ms: list = field(default_factory=list)
+    latencies_ms: array = field(default_factory=lambda: array("d"))
     lag_ms: list = field(default_factory=list)
-    exhausted: bool = False
     errors: list = field(default_factory=list)
 
     @property
@@ -315,20 +359,14 @@ def observe(outcomes: Counter, results) -> None:
     )
 
 
-async def run_batches(deployment, events, seconds: float, batch: int,
-                      outcomes: Counter) -> tuple[Phase, int]:
-    """Closed loop over *events* until *seconds* pass; returns the phase and
-    how many events it consumed."""
+async def run_batches(deployment, source, seconds: float, batch: int,
+                      outcomes: Counter) -> Phase:
+    """Closed loop over *source* until *seconds* pass."""
     phase = Phase()
     cpu0, started = cpu_seconds(), time.perf_counter()
     deadline = started + seconds
-    consumed = 0
     while time.perf_counter() < deadline:
-        chunk = events[consumed : consumed + batch]
-        if not chunk:
-            phase.exhausted = True
-            break
-        consumed += len(chunk)
+        chunk = source.take(batch)
         phase.attempted += len(chunk)
         sent = time.perf_counter()
         try:
@@ -345,7 +383,7 @@ async def run_batches(deployment, events, seconds: float, batch: int,
         observe(outcomes, results)
     phase.seconds = time.perf_counter() - started
     phase.cpu_seconds = cpu_seconds() - cpu0
-    return phase, consumed
+    return phase
 
 
 async def run_open_loop(deployment, events, rate: float, outcomes: Counter) -> Phase:
@@ -389,13 +427,12 @@ async def run_open_loop(deployment, events, rate: float, outcomes: Counter) -> P
     return phase
 
 
-async def run_phase(name: str, deployment, events, seconds: float,
-                    outcomes: Counter) -> tuple[Phase, int]:
-    mode = WORKLOADS[name].mode
-    if mode == "open":
-        count = min(len(events), max(int(LIVE_RATE * seconds), 1))
-        return await run_open_loop(deployment, events[:count], LIVE_RATE, outcomes), count
-    return await run_batches(deployment, events, seconds, batch_size(name), outcomes)
+async def run_phase(name: str, deployment, source, seconds: float,
+                    outcomes: Counter) -> Phase:
+    if WORKLOADS[name].mode == "open":
+        events = source.take(max(int(LIVE_RATE * seconds), 1))
+        return await run_open_loop(deployment, events, LIVE_RATE, outcomes)
+    return await run_batches(deployment, source, seconds, batch_size(name), outcomes)
 
 
 def batch_size(name: str) -> int:
