@@ -8,6 +8,9 @@ import shutil
 from collections import Counter, OrderedDict
 from pathlib import Path
 
+import numpy as np
+
+from perfbench import speed
 from perfbench import workloads as wl
 from perfbench.oracle import TOLERANCE, Reference, compare, detection_quality
 from perfbench.tracing import Tracer
@@ -64,8 +67,33 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
+def phase_figures(phase: wl.Phase, calibrated: bool) -> dict[str, float]:
+    """Throughput, latency and CPU of a phase, as measured or, if
+    *calibrated*, at the reference machine speed: each closed-loop call's
+    time and CPU divided by the slowdown read around it."""
+    if not len(phase.call_seconds):  # open loop: latency per event
+        return {
+            "throughput_eps": phase.throughput,
+            "latency_p50_ms": wl.percentile(phase.latencies_ms, 50),
+            "latency_p99_ms": wl.percentile(phase.latencies_ms, 99),
+            "cpu_us_per_event": _ratio(phase.cpu_seconds * 1e6, phase.events),
+        }
+    slowdowns = speed.local_slowdowns(phase.readings) if calibrated else 1.0
+    seconds = np.asarray(phase.call_seconds) / slowdowns
+    events = np.asarray(phase.call_events)
+    # every event of a call gets the call's latency
+    latencies = np.repeat(seconds * 1000.0, events)
+    return {
+        "throughput_eps": _ratio(events.sum(), seconds.sum()),
+        "latency_p50_ms": wl.percentile(latencies, 50),
+        "latency_p99_ms": wl.percentile(latencies, 99),
+        "cpu_us_per_event": _ratio(
+            float((np.asarray(phase.call_cpu) / slowdowns).sum()) * 1e6, events.sum()),
+    }
+
+
 def layer_metrics(tracer: Tracer, traced: wl.Phase, untraced: wl.Phase, replayed: int,
-                  dead_letters: int) -> dict[str, float]:
+                  dead_letters: int, calibrated: bool) -> dict[str, float]:
     """Per-layer figures of the traced phase (0 where a layer did no work)."""
     own = tracer.self_times()
     calls, counts = tracer.calls, tracer.counts
@@ -73,8 +101,10 @@ def layer_metrics(tracer: Tracer, traced: wl.Phase, untraced: wl.Phase, replayed
     def us_per(op: str, denominator: float) -> float:
         return _ratio(own.get(op, 0.0) * 1e6, denominator)
 
-    untraced_cpu = _ratio(untraced.cpu_seconds, untraced.events)
-    traced_cpu = _ratio(traced.cpu_seconds, traced.events)
+    # at the reference speed where the workload is calibrated: the two
+    # phases ran at different times
+    untraced_cpu, traced_cpu = (phase_figures(phase, calibrated)["cpu_us_per_event"]
+                                for phase in (untraced, traced))
     return {
         "loadgen.lag_ms_p99": wl.percentile(untraced.lag_ms, 99),
         "preprocess.normalize_us": us_per("preprocess.normalize", calls["preprocess.normalize"]),
@@ -154,11 +184,16 @@ def _traffic(events, reference: Reference, warm_count: int, cache_size: int) -> 
 
 async def _serve(name: str, bundle: Path, run_dir: Path, warm, stream, seconds: float,
                  trace: bool, setup_rounds: int) -> dict:
-    # the workload's memory peak starts here, after its traffic pool exists
+    setup_times, setup_slowdowns = await wl.time_set_up(name, bundle, run_dir, setup_rounds)
+    # the workload's memory peak starts here, after its traffic pool
+    # exists and the timed set-up rounds are gone
     rss_before, rss_reset = wl.reset_peak_rss()
-    deployment, setup_times = await wl.set_up(name, bundle, run_dir, setup_rounds)
+    (run_dir / "serve").mkdir()
+    deployment = wl.deployment_for(name, bundle, run_dir / "serve")
+    await deployment.start()
     outcomes: Counter = Counter()
-    out: dict = {"setup_times": setup_times, "warm_failed": 0, "outcomes": outcomes}
+    out: dict = {"setup_times": setup_times, "setup_slowdowns": setup_slowdowns,
+                 "warm_failed": 0, "outcomes": outcomes}
     try:
         batch = wl.batch_size(name)
         for start in range(0, len(warm), batch):
@@ -244,13 +279,15 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
     failed = raised + wire_failed + check.mismatches
     rss = served["rss"]
 
+    measured = {**phase_figures(untraced, False),
+                "setup_s": wl.median(served["setup_times"])}
+    # times at the reference machine speed (perfbench.speed); set-up is
+    # the same interpreter-bound load and compile on every workload
     metrics = {
-        "throughput_eps": untraced.throughput,
-        "latency_p50_ms": wl.percentile(untraced.latencies_ms, 50),
-        "latency_p99_ms": wl.percentile(untraced.latencies_ms, 99),
-        "cpu_us_per_event": _ratio(untraced.cpu_seconds * 1e6, untraced.events),
+        **phase_figures(untraced, wl.WORKLOADS[name].calibrated),
         "peak_rss_mb": rss["peak_mb"],
-        "setup_s": wl.median(served["setup_times"]),
+        "setup_s": wl.median([seconds / factor for seconds, factor
+                              in zip(served["setup_times"], served["setup_slowdowns"])]),
         "alert_recall": recall,
         "alert_precision": precision,
     }
@@ -260,8 +297,14 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
         "seed": seed,
         "seconds": seconds,
         "end_to_end": metrics,
+        "measured": measured,
+        "speed": {"calibrated": wl.WORKLOADS[name].calibrated,
+                  "slowdown": speed.slowdown(untraced.readings),
+                  "readings": len(untraced.readings),
+                  "setup_slowdowns": served["setup_slowdowns"],
+                  "reference_s": speed.REFERENCE_S},
         "samples": {
-            "latency_events": len(untraced.latencies_ms),
+            "latency_events": untraced.events,
             "latency_calls": untraced.calls,
             "setup_rounds": len(served["setup_times"]),
             "distinct_lines": len(truth),
@@ -289,7 +332,8 @@ def run_workload(name: str, bundle: Path, run_dir: Path, *, seed: int, seconds: 
     if trace:
         traced = served["traced"]
         report["per_layer"] = layer_metrics(
-            served["tracer"], traced, untraced, served["replayed_traced"], served["dead_letters"]
+            served["tracer"], traced, untraced, served["replayed_traced"], served["dead_letters"],
+            wl.WORKLOADS[name].calibrated,
         )
         report["traced_phase"] = {"events": traced.events, "seconds": traced.seconds,
                                   "throughput_eps": traced.throughput}

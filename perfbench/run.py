@@ -42,14 +42,18 @@ def _table(report: dict, trace: bool, units: dict) -> str:
     samples = report["samples"]
     lines = [f"== {name} (seed {report['seed']}): {report['why']}"]
     metrics = report["per_layer"] if trace else report["end_to_end"]
+    calibrated = report["speed"]["calibrated"]
     for metric, value in metrics.items():
         note = ""
+        if not trace and metric in report["measured"] and (calibrated or metric == "setup_s"):
+            note = f"  (at reference speed; measured {report['measured'][metric]:.6g})"
         if metric.startswith("latency_"):
-            note = f"  (n={samples['latency_events']} events, {samples['latency_calls']} calls)"
+            note += f"  (n={samples['latency_events']} events, {samples['latency_calls']} calls)"
         elif metric == "peak_rss_mb":
-            note = f"  (since set-up began, at {report['rss']['before_mb']:.1f} MB)"
+            note = (f"  (serving deployment from its set-up on; "
+                    f"{report['rss']['before_mb']:.1f} MB before it)")
         elif metric == "setup_s":
-            note = f"  (median of {samples['setup_rounds']})"
+            note += f"  (median of {samples['setup_rounds']})"
         elif metric.startswith("alert_"):
             note = (f"  ({samples['distinct_lines']} distinct lines, "
                     f"{samples['positives']} malicious, {samples['alerts']} flagged)")

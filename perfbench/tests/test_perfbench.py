@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from perfbench import bench, traffic
+from perfbench import bench, speed, traffic
 from perfbench import workloads as wl
 
 REPO = Path(__file__).resolve().parents[2]
@@ -62,6 +62,29 @@ def test_live_tail_carries_campaigns_and_many_hosts():
     victims = [e for e in events if e.host.startswith("victim-")]
     assert victims and all(e.malicious for e in victims)
     assert len({e.host for e in events}) > 10
+
+
+def test_local_slowdowns_average_the_readings_around_each_call():
+    ref = speed.REFERENCE_S
+    assert list(speed.local_slowdowns([ref] * 7, window=3)) == pytest.approx([1.0] * 7)
+    slow = speed.local_slowdowns([ref, ref, 4 * ref, 4 * ref], window=3)
+    assert list(slow) == pytest.approx([1.0, 2.0, 3.0, 4.0])
+    assert speed.slowdown([]) == 1.0 and 0 < speed.probe() < 1.0
+
+
+def test_calibrated_figures_are_at_the_reference_speed():
+    phase = wl.Phase(events=200, calls=100, seconds=1.0, cpu_seconds=1.0)
+    phase.call_seconds.extend([0.01] * 100)
+    phase.call_cpu.extend([0.01] * 100)
+    phase.call_events.extend([2] * 100)
+    phase.readings.extend([2 * speed.REFERENCE_S] * 100)  # twice as slow
+    measured = bench.phase_figures(phase, calibrated=False)
+    calibrated = bench.phase_figures(phase, calibrated=True)
+    assert measured["throughput_eps"] == pytest.approx(200.0)
+    assert measured["latency_p50_ms"] == pytest.approx(10.0)
+    assert calibrated["throughput_eps"] == pytest.approx(400.0)
+    assert calibrated["latency_p50_ms"] == pytest.approx(5.0)
+    assert calibrated["cpu_us_per_event"] == pytest.approx(measured["cpu_us_per_event"] / 2)
 
 
 def test_metric_names_are_declared():

@@ -23,7 +23,7 @@ ATTACK_SESSION_RATE = 0.18
 #: Independent simulated fleets mixed into one stream.  Each fleet draws
 #: its own user population and role mix from the seed; mixing several
 #: keeps one seed's traffic close to another's.
-FLEETS = 4
+FLEETS = 8
 #: Exponent of the Zipf popularity law the warm pool is resampled with.
 ZIPF_EXPONENT = 0.8
 #: Lines generated per simulator call while collecting distinct lines.

@@ -8,6 +8,9 @@ schedule.  ``fleet_replay`` sends the ``warm_zipf`` traffic through a
 time: ``submit_many`` and ``flush``, then wait until every event of the
 chunk is acknowledged.  The timed traffic is a source whose ``take(n)``
 never runs dry, so every phase lasts as long as it is timed for.
+
+Closed-loop phases and set-up rounds read the machine's speed with
+:mod:`perfbench.speed` after every program call, untimed.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.fleet.router import FleetRouter
 from repro.ids import IntrusionDetectionService
 from repro.serving import CommandEvent, DetectionServer, ServingConfig
 
-from perfbench import traffic
+from perfbench import speed, traffic
 
 #: Events per ``submit_many`` call on cold_ingest and warm_zipf.
 BATCH_EVENTS = 64
@@ -50,7 +53,9 @@ WARM_POOL = 3072
 #: cache never hits it, however fast the program gets through it.
 COLD_POOL = 12_000
 #: Deployments built (and timed) per run; setup_s is their median.
-SETUP_ROUNDS = 9
+SETUP_ROUNDS = 25
+#: Speed readings taken just before and just after each set-up round.
+SETUP_PROBES = 10
 
 
 @dataclass(frozen=True)
@@ -58,19 +63,27 @@ class Workload:
     name: str
     why: str
     mode: str  # "batch", "open" or "fleet"
+    #: Whether the timed phase's time metrics are given at the reference
+    #: machine speed (see :mod:`perfbench.speed`).  Only where the
+    #: reference kernel follows the phase's cost: cold_ingest's is mostly
+    #: BLAS, which slows far less than the interpreter when the machine
+    #: does (its calibrated throughput ran opposite to the machine's
+    #: speed), and live_tail's times are set by its send schedule and the
+    #: micro-batcher's deadline.
+    calibrated: bool
 
 
 WORKLOADS = {
     w.name: w
     for w in (
         Workload("cold_ingest", "distinct fleet telemetry via submit_many: tokenize and the "
-                 "float64 forward dominate; cache, batcher and fleet idle", "batch"),
+                 "float64 forward dominate; cache, batcher and fleet idle", "batch", False),
         Workload("warm_zipf", "Zipf repeats of a cache-resident pool via submit_many: parse "
-                 "and cache dominate; the model is nearly idle", "batch"),
+                 "and cache dominate; the model is nearly idle", "batch", True),
         Workload("live_tail", "per-event submit at a fixed open-loop rate with an evasion "
-                 "campaign: batcher, canonicalizer, sequence stage and delivery", "open"),
+                 "campaign: batcher, canonicalizer, sequence stage and delivery", "open", False),
         Workload("fleet_replay", "warm_zipf traffic through FleetRouter to 2 FleetNodes over "
-                 "localhost TCP: frame encoding, sockets and acks", "fleet"),
+                 "localhost TCP: frame encoding, sockets and acks", "fleet", True),
     )
 }
 
@@ -266,21 +279,27 @@ def deployment_for(name: str, bundle: Path, run_dir: Path):
     return ServerDeployment(bundle, config)
 
 
-async def set_up(name: str, bundle: Path, run_dir: Path, rounds: int = SETUP_ROUNDS):
-    """Build the deployment *rounds* times; keep the last, report every time."""
-    times = []
-    deployment = None
+async def time_set_up(name: str, bundle: Path, run_dir: Path,
+                      rounds: int = SETUP_ROUNDS) -> tuple[list, list]:
+    """Build and stop the deployment *rounds* times.
+
+    Returns each round's set-up time and the machine's slowdown read just
+    before and after that round.
+    """
+    times, slowdowns = [], []
     for round_index in range(rounds):
-        if deployment is not None:
-            await deployment.stop()
-            deployment = None
-            gc.collect()
         round_dir = run_dir / f"setup-{round_index}"
         shutil.rmtree(round_dir, ignore_errors=True)
         round_dir.mkdir(parents=True)
         deployment = deployment_for(name, bundle, round_dir)
+        readings = [speed.probe() for _ in range(SETUP_PROBES)]
         times.append(await deployment.start())
-    return deployment, times
+        readings += [speed.probe() for _ in range(SETUP_PROBES)]
+        slowdowns.append(speed.slowdown(readings))
+        await deployment.stop()
+        del deployment
+        gc.collect()
+    return times, slowdowns
 
 
 def cpu_seconds() -> float:
@@ -343,9 +362,15 @@ class Phase:
     failed: int = 0
     seconds: float = 0.0
     cpu_seconds: float = 0.0
-    latencies_ms: array = field(default_factory=lambda: array("d"))
+    latencies_ms: array = field(default_factory=lambda: array("d"))  # open loop
     lag_ms: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+    # closed loop, per completed call: seconds, CPU seconds, events, and
+    # the reference kernel's reading right after the call
+    call_seconds: array = field(default_factory=lambda: array("d"))
+    call_cpu: array = field(default_factory=lambda: array("d"))
+    call_events: array = field(default_factory=lambda: array("l"))
+    readings: array = field(default_factory=lambda: array("d"))
 
     @property
     def throughput(self) -> float:
@@ -361,28 +386,36 @@ def observe(outcomes: Counter, results) -> None:
 
 async def run_batches(deployment, source, seconds: float, batch: int,
                       outcomes: Counter) -> Phase:
-    """Closed loop over *source* until *seconds* pass."""
+    """Closed loop over *source* for *seconds* of program calls.
+
+    After each call, outside the timed spans, the machine's speed is
+    read once (``phase.readings``).
+    """
     phase = Phase()
-    cpu0, started = cpu_seconds(), time.perf_counter()
-    deadline = started + seconds
-    while time.perf_counter() < deadline:
+    busy = cpu = 0.0
+    while busy < seconds:
         chunk = source.take(batch)
         phase.attempted += len(chunk)
-        sent = time.perf_counter()
+        cpu0, sent = cpu_seconds(), time.perf_counter()
         try:
             results = await deployment.submit_many(chunk)
         except Exception as exc:  # counted, reported, never fatal
             phase.failed += len(chunk)
             phase.errors.append(repr(exc))
             continue
-        latency = (time.perf_counter() - sent) * 1000.0
+        finally:
+            elapsed, used = time.perf_counter() - sent, cpu_seconds() - cpu0
+            busy += elapsed
+            cpu += used
         phase.calls += 1
         phase.failed += max(len(chunk) - len(results), 0)
         phase.events += len(results)
-        phase.latencies_ms.extend([latency] * len(results))
+        phase.call_seconds.append(elapsed)
+        phase.call_cpu.append(used)
+        phase.call_events.append(len(results))
+        phase.readings.append(speed.probe())
         observe(outcomes, results)
-    phase.seconds = time.perf_counter() - started
-    phase.cpu_seconds = cpu_seconds() - cpu0
+    phase.seconds, phase.cpu_seconds = busy, cpu
     return phase
 
 
@@ -442,7 +475,7 @@ def batch_size(name: str) -> int:
 
 def percentile(values, q: float) -> float:
     """The *q*-th percentile (0-100) by linear interpolation; 0 when empty."""
-    if not values:
+    if not len(values):
         return 0.0
     ordered = sorted(values)
     if len(ordered) == 1:
